@@ -147,10 +147,9 @@ int main(int argc, char** argv) {
       demand_trace(/*seed=*/42, /*tenants=*/6, /*rounds=*/200, /*budget=*/16);
   DeadlinePressurePolicy pressure;
   WeightedSharePolicy weighted;
-  GroupedArbitrationPolicy grouped;
   AdaptiveWeightPolicy adaptive;
   const std::vector<PolicyQuality> ranked =
-      rank_policies({&pressure, &weighted, &grouped, &adaptive}, 16, trace);
+      rank_policies({&pressure, &weighted, &adaptive}, 16, trace);
   double adaptive_miss = 1.0, weighted_miss = 1.0;
   for (const PolicyQuality& q : ranked) {
     if (q.policy == "adaptive-weight") adaptive_miss = q.miss_rate;

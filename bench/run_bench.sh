@@ -12,9 +12,10 @@
 #   * estimator A/B (PR 4): fig5/6/7 scenarios under each estimator family
 #     member (EWMA / window mean / window median / P^2 quantile) plus the
 #     deterministic bursty-stream accuracy ranking,
-#   * transport/backend comparison (PR 5): real subprocess-worker join
-#     latency vs the simulated provision delay, the per-task transport
-#     bracket cost, and fig5 under --backend thread vs subprocess,
+#   * transport/backend comparison (PR 5; over TCP since PR 13): real
+#     TCP-worker join latency vs the simulated provision delay, the
+#     per-task transport bracket cost, and fig5 under --backend thread
+#     vs tcp,
 #   * raw-speed pass (PR 6): incremental-snapshot cost (one dirty shard vs
 #     all shards dirty), the lease-batching sweep (K in {1,4,16,64}), the
 #     injection-queue comparison (retired mutex+deque vs lock-free MPSC)
@@ -114,8 +115,9 @@ est_args=(--estimators)
 [[ ${smoke} -eq 1 ]] && est_args+=(--smoke)
 "${build_dir}/wct_algorithms" "${est_args[@]}" > "${est_ab_json}"
 
-# Transport/backend comparison (PR 5) + lease-batching sweep (PR 6):
-# subprocess vs thread backend, and tasks/sec at lease_batch K in {1,4,16,64}.
+# Transport/backend comparison (PR 5) + lease-batching sweep (PR 6), both
+# over one TCP worker host: TCP vs thread backend, and tasks/sec at
+# lease_batch K in {1,4,16,64}.
 tb_args=()
 [[ ${smoke} -eq 1 ]] && tb_args+=(--smoke)
 "${build_dir}/transport_bench" "${tb_args[@]+"${tb_args[@]}"}" \

@@ -7,6 +7,7 @@
 // EXPERIMENTS.md compares against the paper. `--scale X` reruns at another
 // time scale (1.0 = the paper's full 12.5 s profile); default 0.15.
 
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -40,15 +41,24 @@ inline ScenarioConfig parse_config(int argc, char** argv, double goal) {
   cfg.timings.scale = 0.15;
   cfg.corpus.num_tweets = 5000;
   cfg.max_lp = 24;
-  for (int k = 1; k + 1 < argc; ++k) {
+  for (int k = 1; k < argc; ++k) {
+    if (std::strcmp(argv[k], "--backend") == 0) {
+      const char* name = k + 1 < argc ? argv[k + 1] : "";
+      if (std::strcmp(name, "thread") == 0) {
+        cfg.backend = ScenarioBackend::kThread;
+      } else if (std::strcmp(name, "tcp") == 0) {
+        cfg.backend = ScenarioBackend::kTcp;
+      } else {
+        std::cerr << argv[0] << ": unknown --backend '" << name
+                  << "' (expected thread|tcp)\n";
+        std::exit(2);
+      }
+    }
+    if (k + 1 == argc) break;
     if (std::strcmp(argv[k], "--scale") == 0) cfg.timings.scale = std::atof(argv[k + 1]);
     if (std::strcmp(argv[k], "--tweets") == 0)
       cfg.corpus.num_tweets = static_cast<std::size_t>(std::atol(argv[k + 1]));
     if (std::strcmp(argv[k], "--max-lp") == 0) cfg.max_lp = std::atoi(argv[k + 1]);
-    if (std::strcmp(argv[k], "--backend") == 0)
-      cfg.backend = std::strcmp(argv[k + 1], "subprocess") == 0
-                        ? ScenarioBackend::kSubprocess
-                        : ScenarioBackend::kThread;
   }
   return cfg;
 }
@@ -74,8 +84,7 @@ inline void print_scenario(const char* title, const ScenarioConfig& cfg,
             << " s (" << cfg.wct_goal << " paper-seconds)  sequential "
             << fmt(cfg.timings.sequential_wct(), 3) << " s  max LP " << cfg.max_lp
             << "  backend "
-            << (cfg.backend == ScenarioBackend::kSubprocess ? "subprocess"
-                                                            : "thread")
+            << (cfg.backend == ScenarioBackend::kTcp ? "tcp" : "thread")
             << "\n";
   std::cout << "paper: " << paper_summary << "\n\n";
 

@@ -1,20 +1,22 @@
-// Transport/backend benchmark (PR 5): what does moving LP behind the
-// WorkerBackend seam cost, and what does a REAL remote join look like next
-// to the simulated provision delay the repo used until now?
+// Transport/backend benchmark: what does moving LP behind the WorkerBackend
+// seam cost, and what does a REAL remote join look like next to the
+// simulated provision delay? Every remote number runs over one in-process
+// TcpWorkerHost on loopback.
 //
 // Emits one JSON object on stdout (consumed by bench/run_bench.sh into
 // BENCH_PR<N>.json):
-//   * provision: measured fork->Hello join latencies of the subprocess
-//     backend (a pool growing 1 -> N) vs the configured simulated delay of
-//     the thread backend;
-//   * per-task transport bracket: tasks/sec through one worker with and
-//     without a live subprocess session (the submit/complete round trip);
+//   * provision: measured connect->Hello join latencies of a TCP-backed
+//     pool growing 1 -> N vs the configured simulated delay of the thread
+//     backend;
+//   * lease-batching sweep: tasks/sec through one worker with a live TCP
+//     session at K in {1,4,16,64} task brackets per Submit/Complete round
+//     trip; K=1 is the per-task bracket, reported against the thread
+//     backend under task_bracket;
+//   * tcp: the sweep's K=1/K=16 numbers and the named-muscle
+//     (kSubmitNamed/kResultNamed) echo round trip;
 //   * fig5 scenario (goal without initialization) under --backend thread and
-//     --backend subprocess: same LP decision kinds, wct, goal, peak busy —
-//     the "same decisions end-to-end" acceptance check;
-//   * tcp (PR 10): the same bracket churn over a real loopback TCP socket at
-//     lease_batch 1 and 16, connect->Hello join latency, and the named-muscle
-//     (kSubmitNamed/kResultNamed) echo round trip.
+//     --backend tcp: same LP decision kinds, wct, goal, peak busy — the
+//     "same decisions end-to-end" acceptance check.
 //
 // Usage: transport_bench [--smoke] [--scale X] [--tweets N]
 
@@ -23,12 +25,10 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/subprocess_backend.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/csv.hpp"
@@ -53,16 +53,24 @@ bool wait_effective(ResizableThreadPool& pool, int lp, double timeout_s) {
   return true;
 }
 
+void wait_session(const TcpBackend& backend, double timeout_s) {
+  const double deadline = now_s() + timeout_s;
+  while (backend.live_sessions() < 1 && now_s() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 struct ProvisionNumbers {
-  double grow_wall_ms = 0.0;       // set_target_lp(1 -> n) to effective
-  std::vector<double> join_us;     // per-worker fork->Hello (subprocess)
+  double grow_wall_ms = 0.0;  // set_target_lp(1 -> n) to effective
+  JoinLatencyStats joins;     // per-worker connect->Hello
 };
 
-ProvisionNumbers measure_subprocess_provision(int workers) {
+ProvisionNumbers measure_tcp_provision(const TcpWorkerHost& host, int workers) {
   ProvisionNumbers out;
-  SubprocessBackendConfig cfg;
+  TcpBackendConfig cfg;
+  cfg.port = host.port();
   cfg.max_workers = workers;
-  SubprocessBackend backend(cfg);
+  TcpBackend backend(cfg);
   {
     ResizableThreadPool pool(1, workers);
     pool.set_backend(&backend);
@@ -72,7 +80,7 @@ ProvisionNumbers measure_subprocess_provision(int workers) {
     out.grow_wall_ms = (now_s() - t0) * 1000.0;
     pool.set_backend(nullptr);
   }
-  out.join_us = backend.transport_factory().join_latencies_us();
+  out.joins = backend.transport_factory().join_stats();
   return out;
 }
 
@@ -86,7 +94,7 @@ double measure_simulated_provision(int workers, double delay_s) {
 }
 
 /// Tasks/sec through a 1-worker pool: the per-task bracket cost shows up as
-/// the delta between the thread backend and a live subprocess session.
+/// the delta between the thread backend and a live TCP session.
 double measure_churn(ResizableThreadPool& pool, int tasks) {
   std::atomic<int> done{0};
   const double t0 = now_s();
@@ -98,27 +106,19 @@ double measure_churn(ResizableThreadPool& pool, int tasks) {
   return done.load() == tasks && dt > 0.0 ? tasks / dt : 0.0;
 }
 
-// TCP loopback (PR 10): the same 1-worker bracket churn over a real TCP
-// socket (K=1 and K=16), connect->Hello join latency next to the
-// fork->Hello number, and the named-muscle round trip (the dialect the
-// subprocess transport cannot execute).
-struct TcpNumbers {
-  bool available = false;        // host failed to bind -> section omitted
-  double join_mean_us = 0.0;     // connect -> Hello, mean over sessions
-  double tps_k1 = 0.0;           // submit/complete brackets per sec, K=1
-  double tps_k16 = 0.0;          // ... with 16 brackets per lease
-  double named_rt_us = 0.0;      // mean echo-muscle call round trip
+/// The same 1-worker bracket churn with up to K task brackets coalesced per
+/// Submit/Complete round trip, one TCP session per K. The K=1 session also
+/// times `named_calls` echo-muscle round trips once it is idle.
+struct SweepNumbers {
+  std::vector<double> tps;   // per lease_batch K
+  double named_rt_us = 0.0;  // mean echo-muscle call round trip
 };
 
-TcpNumbers measure_tcp(int churn_tasks, int named_calls) {
-  TcpNumbers out;
-  MuscleTable table;
-  const WireMuscleId echo_id =
-      table.register_muscle("bench.echo", [](const PodValue& v) { return v; });
-  TcpWorkerHost host(table);
-  if (!host.listening()) return out;
-  std::vector<double> joins;
-  for (const int k_batch : {1, 16}) {
+SweepNumbers measure_sweep(const TcpWorkerHost& host, WireMuscleId echo_id,
+                           const std::vector<int>& batch_ks, int churn_tasks,
+                           int named_calls) {
+  SweepNumbers out;
+  for (const int k_batch : batch_ks) {
     TcpBackendConfig cfg;
     cfg.port = host.port();
     cfg.max_workers = 1;
@@ -126,14 +126,10 @@ TcpNumbers measure_tcp(int churn_tasks, int named_calls) {
     TcpBackend backend(cfg);
     ResizableThreadPool pool(1, 1);
     pool.set_backend(&backend);
-    const double deadline = now_s() + 10.0;
-    while (backend.live_sessions() < 1 && now_s() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    const double tps = measure_churn(pool, churn_tasks);
+    // Wait for the session so every task really pays the round trip.
+    wait_session(backend, 10.0);
+    out.tps.push_back(measure_churn(pool, churn_tasks));
     if (k_batch == 1) {
-      out.tps_k1 = tps;
-      // Named round trips through the now-idle K=1 session.
       const double t0 = now_s();
       int ok = 0;
       for (int k = 0; k < named_calls; ++k) {
@@ -145,18 +141,9 @@ TcpNumbers measure_tcp(int churn_tasks, int named_calls) {
       if (ok == named_calls && named_calls > 0 && dt > 0.0) {
         out.named_rt_us = dt * 1e6 / named_calls;
       }
-    } else {
-      out.tps_k16 = tps;
     }
-    const std::vector<double> j = backend.transport_factory().join_latencies_us();
-    joins.insert(joins.end(), j.begin(), j.end());
     pool.set_backend(nullptr);
   }
-  if (!joins.empty()) {
-    out.join_mean_us = std::accumulate(joins.begin(), joins.end(), 0.0) /
-                       static_cast<double>(joins.size());
-  }
-  out.available = true;
   return out;
 }
 
@@ -231,124 +218,86 @@ int main(int argc, char** argv) {
     tweets = std::min<std::size_t>(tweets, 1200);
   }
 
+  MuscleTable table;
+  const WireMuscleId echo_id =
+      table.register_muscle("bench.echo", [](const PodValue& v) { return v; });
+  TcpWorkerHost host(table);
+  if (!host.listening()) {
+    std::cout << "{\"error\": \"the TCP worker host did not bind\"}\n";
+    return 1;
+  }
+
   const int provision_workers = smoke ? 4 : 8;
   const double sim_delay = 0.05;
-  const ProvisionNumbers sub = measure_subprocess_provision(provision_workers);
+  const ProvisionNumbers tcp_prov = measure_tcp_provision(host, provision_workers);
   const double sim_ms = measure_simulated_provision(provision_workers, sim_delay);
 
   const int churn_tasks = smoke ? 2000 : 20000;
   double thread_tps = 0.0;
-  double subprocess_tps = 0.0;
   {
     ResizableThreadPool pool(1, 1);
     thread_tps = measure_churn(pool, churn_tasks);
   }
-  {
-    SubprocessBackendConfig cfg;
-    cfg.max_workers = 1;
-    SubprocessBackend backend(cfg);
-    ResizableThreadPool pool(1, 1);
-    pool.set_backend(&backend);
-    // Wait for the session so every task really pays the round trip.
-    const double deadline = now_s() + 10.0;
-    while (backend.live_sessions() < 1 && now_s() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    subprocess_tps = measure_churn(pool, churn_tasks);
-    pool.set_backend(nullptr);
-  }
-
-  // Lease-batching sweep (PR 6): the same 1-worker bracket churn with up to
-  // K task brackets coalesced per Submit/Complete round trip. K=1 is the
-  // legacy protocol; the curve shows how much of the bracket cost amortizes.
+  // Lease-batching sweep: K=1 is the per-task protocol; the curve shows how
+  // much of the bracket cost amortizes.
   const std::vector<int> batch_ks = {1, 4, 16, 64};
-  std::vector<double> batch_tps;
-  for (const int k_batch : batch_ks) {
-    SubprocessBackendConfig cfg;
-    cfg.max_workers = 1;
-    cfg.lease_batch = k_batch;
-    SubprocessBackend backend(cfg);
-    ResizableThreadPool pool(1, 1);
-    pool.set_backend(&backend);
-    const double deadline = now_s() + 10.0;
-    while (backend.live_sessions() < 1 && now_s() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    batch_tps.push_back(measure_churn(pool, churn_tasks));
-    pool.set_backend(nullptr);
-  }
-
-  const TcpNumbers tcp =
-      measure_tcp(churn_tasks, /*named_calls=*/smoke ? 200 : 2000);
+  const SweepNumbers sweep = measure_sweep(host, echo_id, batch_ks, churn_tasks,
+                                           /*named_calls=*/smoke ? 200 : 2000);
+  const double tps_k1 = sweep.tps[0];
+  const double tps_k16 = sweep.tps[2];
 
   const FigNumbers fig_thread = run_fig5(ScenarioBackend::kThread, scale, tweets);
-  const FigNumbers fig_sub =
-      run_fig5(ScenarioBackend::kSubprocess, scale, tweets);
-
-  const double join_mean =
-      sub.join_us.empty()
-          ? 0.0
-          : std::accumulate(sub.join_us.begin(), sub.join_us.end(), 0.0) /
-                static_cast<double>(sub.join_us.size());
-  const double join_max =
-      sub.join_us.empty()
-          ? 0.0
-          : *std::max_element(sub.join_us.begin(), sub.join_us.end());
+  const FigNumbers fig_tcp = run_fig5(ScenarioBackend::kTcp, scale, tweets);
 
   std::cout << "{\n";
   std::cout << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   std::cout << "  \"provision\": {\n";
   std::cout << "    \"workers\": " << provision_workers << ",\n";
-  std::cout << "    \"subprocess_grow_wall_ms\": " << fmt(sub.grow_wall_ms, 2)
+  std::cout << "    \"tcp_grow_wall_ms\": " << fmt(tcp_prov.grow_wall_ms, 2)
             << ",\n";
-  std::cout << "    \"subprocess_join_mean_us\": " << fmt(join_mean, 1) << ",\n";
-  std::cout << "    \"subprocess_join_max_us\": " << fmt(join_max, 1) << ",\n";
+  std::cout << "    \"tcp_join_mean_us\": " << fmt(tcp_prov.joins.mean_us, 1)
+            << ",\n";
+  std::cout << "    \"tcp_join_max_us\": " << fmt(tcp_prov.joins.max_us, 1)
+            << ",\n";
   std::cout << "    \"simulated_delay_ms\": " << fmt(sim_delay * 1000.0, 1)
             << ",\n";
   std::cout << "    \"simulated_grow_wall_ms\": " << fmt(sim_ms, 2) << "\n";
   std::cout << "  },\n";
   std::cout << "  \"task_bracket\": {\n";
   std::cout << "    \"thread_tasks_per_sec\": " << fmt(thread_tps, 0) << ",\n";
-  std::cout << "    \"subprocess_tasks_per_sec\": " << fmt(subprocess_tps, 0)
-            << "\n";
+  std::cout << "    \"tcp_tasks_per_sec\": " << fmt(tps_k1, 0) << "\n";
   std::cout << "  },\n";
   std::cout << "  \"lease_batching\": [\n";
   for (std::size_t k = 0; k < batch_ks.size(); ++k) {
     std::cout << "    {\"lease_batch\": " << batch_ks[k]
-              << ", \"subprocess_tasks_per_sec\": " << fmt(batch_tps[k], 0)
+              << ", \"tcp_tasks_per_sec\": " << fmt(sweep.tps[k], 0)
               << ", \"speedup_vs_k1\": "
-              << fmt(batch_tps[0] > 0.0 ? batch_tps[k] / batch_tps[0] : 0.0, 3)
-              << "}" << (k + 1 < batch_ks.size() ? "," : "") << "\n";
+              << fmt(tps_k1 > 0.0 ? sweep.tps[k] / tps_k1 : 0.0, 3) << "}"
+              << (k + 1 < batch_ks.size() ? "," : "") << "\n";
   }
   std::cout << "  ],\n";
   std::cout << "  \"tcp\": {\n";
-  std::cout << "    \"available\": " << (tcp.available ? "true" : "false")
-            << ",\n";
-  std::cout << "    \"join_mean_us\": " << fmt(tcp.join_mean_us, 1) << ",\n";
-  std::cout << "    \"tasks_per_sec_k1\": " << fmt(tcp.tps_k1, 0) << ",\n";
-  std::cout << "    \"tasks_per_sec_k16\": " << fmt(tcp.tps_k16, 0) << ",\n";
+  std::cout << "    \"available\": true,\n";
+  std::cout << "    \"tasks_per_sec_k1\": " << fmt(tps_k1, 0) << ",\n";
+  std::cout << "    \"tasks_per_sec_k16\": " << fmt(tps_k16, 0) << ",\n";
   std::cout << "    \"speedup_k16_vs_k1\": "
-            << fmt(tcp.tps_k1 > 0.0 ? tcp.tps_k16 / tcp.tps_k1 : 0.0, 3)
-            << ",\n";
-  std::cout << "    \"named_round_trip_us\": " << fmt(tcp.named_rt_us, 1)
-            << ",\n";
-  std::cout << "    \"tcp_vs_subprocess_k1\": "
-            << fmt(subprocess_tps > 0.0 ? tcp.tps_k1 / subprocess_tps : 0.0, 3)
+            << fmt(tps_k1 > 0.0 ? tps_k16 / tps_k1 : 0.0, 3) << ",\n";
+  std::cout << "    \"named_round_trip_us\": " << fmt(sweep.named_rt_us, 1)
             << "\n";
   std::cout << "  },\n";
   print_fig("fig5_thread", fig_thread);
   std::cout << ",\n";
-  print_fig("fig5_subprocess", fig_sub);
+  print_fig("fig5_tcp", fig_tcp);
   std::cout << "\n}\n";
 
-  // Sanity gates (always): both runs computed the right counts; the
-  // subprocess run reached the same KIND of trajectory — the controller
-  // adapted (grew past 1) under both backends. Timing-sensitive equality is
-  // the bench JSON's business, not an assertion.
+  // Sanity gates (always): both runs computed the right counts; the TCP run
+  // reached the same KIND of trajectory — the controller adapted (grew past
+  // 1) under both backends. Timing-sensitive equality is the bench JSON's
+  // business, not an assertion.
   const bool ok = fig_thread.res.counts == fig_thread.res.expected &&
-                  fig_sub.res.counts == fig_sub.res.expected &&
-                  fig_thread.res.peak_busy > 1 && fig_sub.res.peak_busy > 1 &&
-                  fig_sub.provision_failures == 0 && tcp.available &&
-                  tcp.tps_k1 > 0.0 && tcp.named_rt_us > 0.0;
+                  fig_tcp.res.counts == fig_tcp.res.expected &&
+                  fig_thread.res.peak_busy > 1 && fig_tcp.res.peak_busy > 1 &&
+                  fig_tcp.provision_failures == 0 && tps_k1 > 0.0 &&
+                  sweep.named_rt_us > 0.0;
   return ok ? 0 : 1;
 }

@@ -43,19 +43,20 @@ void DeadlinePressurePolicy::arbitrate(int budget,
 
 namespace {
 
-/// Shared water-fill core: floors one unit at a time in descending
+/// The water-fill core: floors one unit at a time in descending
 /// (weight, pressure, order) priority, then repeatedly +1 to the unsatisfied
 /// item with the lowest grant/weight ratio (ties toward higher pressure, then
-/// earlier order), so steady-state grants are proportional to weight, capped
-/// at desired. Returns the unspent remainder.
+/// earlier order), so steady-state grants converge to
+/// budget * weight / total_weight, capped at desired (the freed share then
+/// flows to the others). O(budget * items) — both are small.
 struct FillItem {
   int desired = 0;
   int weight = 1;
   double pressure = 0.0;
 };
 
-int water_fill(int budget, const std::vector<FillItem>& items,
-               std::vector<int>& out) {
+void water_fill(int budget, const std::vector<FillItem>& items,
+                std::vector<int>& out) {
   out.assign(items.size(), 0);
   std::vector<std::size_t> order(items.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -89,7 +90,6 @@ int water_fill(int budget, const std::vector<FillItem>& items,
     ++out[pick];
     --remaining;
   }
-  return remaining;
 }
 
 }  // namespace
@@ -97,51 +97,9 @@ int water_fill(int budget, const std::vector<FillItem>& items,
 void WeightedSharePolicy::arbitrate(int budget,
                                     const std::vector<TenantDemand>& demands,
                                     std::vector<int>& grants) const {
-  // Floors in weight order (ties: pressure, then registration order) — when
-  // the budget cannot even cover one thread each, the heavier classes win.
-  std::vector<std::size_t> order(demands.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (demands[a].weight != demands[b].weight) {
-                       return demands[a].weight > demands[b].weight;
-                     }
-                     return demands[a].pressure > demands[b].pressure;
-                   });
-  int remaining = budget;
-  for (const std::size_t i : order) {
-    if (remaining == 0) break;
-    grants[i] = 1;
-    --remaining;
-  }
-  // Water-fill one thread at a time to the unsatisfied tenant with the
-  // lowest grant/weight ratio: steady-state grants converge to
-  // budget * weight / total_weight, capped at desired (the freed share then
-  // flows to the remaining classes). O(budget * tenants) — both are small.
-  while (remaining > 0) {
-    std::size_t pick = demands.size();
-    double pick_ratio = 0.0;
-    for (const std::size_t i : order) {
-      if (grants[i] >= std::min(demands[i].desired, budget)) continue;
-      const double ratio = static_cast<double>(grants[i]) /
-                           static_cast<double>(std::max(1, demands[i].weight));
-      if (pick == demands.size() || ratio < pick_ratio) {
-        pick = i;
-        pick_ratio = ratio;
-      }
-    }
-    if (pick == demands.size()) break;  // everyone capped at desired
-    ++grants[pick];
-    --remaining;
-  }
-}
-
-void GroupedArbitrationPolicy::arbitrate(
-    int budget, const std::vector<TenantDemand>& demands,
-    std::vector<int>& grants) const {
   // Level 1 — group the demand rows. A real group (id > 0) aggregates its
   // members; an ungrouped tenant is its own singleton group carrying its
-  // tenant weight, so all-ungrouped vectors reduce to WeightedSharePolicy.
+  // tenant weight.
   struct Group {
     std::vector<std::size_t> members;
     FillItem item;  // desired = sum of member desired, weight = group weight
@@ -177,16 +135,22 @@ void GroupedArbitrationPolicy::arbitrate(
   std::vector<int> group_budget;
   water_fill(budget, group_items, group_budget);
 
-  // ...then each group's share among its members by member weight.
+  // ...then each group's share among its members by member weight. A
+  // singleton group's share is its member's grant as it stands.
+  std::vector<FillItem> members;
+  std::vector<int> member_grants;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     const Group& g = groups[gi];
-    std::vector<FillItem> members(g.members.size());
+    if (g.members.size() == 1) {
+      grants[g.members[0]] = group_budget[gi];
+      continue;
+    }
+    members.resize(g.members.size());
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       const TenantDemand& d = demands[g.members[k]];
       members[k] = FillItem{std::min(d.desired, budget), std::max(1, d.weight),
                             d.pressure};
     }
-    std::vector<int> member_grants;
     water_fill(group_budget[gi], members, member_grants);
     for (std::size_t k = 0; k < g.members.size(); ++k) {
       grants[g.members[k]] = member_grants[k];

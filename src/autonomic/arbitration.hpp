@@ -7,21 +7,20 @@
 // arbitration.
 //
 // A policy is a deterministic function of the demand vector, unit-testable
-// without threads. Four ship:
+// without threads. Three ship:
 //  * DeadlinePressurePolicy — PR 2's behavior, verbatim: 1-thread floor in
 //    pressure order while the budget lasts, then top-up toward each tenant's
 //    desired LP, widest relative goal miss first;
-//  * WeightedSharePolicy — SLA classes: floors by weight, then water-fill one
-//    thread at a time to the tenant with the lowest grant/weight ratio, so
+//  * WeightedSharePolicy — SLA classes, optionally in hierarchical groups:
+//    the budget is water-filled across tenant GROUPS by group weight first,
+//    then each group's share among its members by member weight. A
+//    water-fill floors one thread each by weight, then hands out one thread
+//    at a time to the row with the lowest grant/weight ratio, so
 //    steady-state grants are proportional to weight (capped at desired, with
-//    leftovers redistributed). Unlike pressure, a tenant cannot game it by
-//    inflating its own reported miss.
-//  * GroupedArbitrationPolicy — hierarchical: the budget is water-filled
-//    across tenant GROUPS by group weight first, then each group's share is
-//    water-filled among its members by member weight (pressure breaks ties).
-//    An ungrouped tenant (group 0) is its own singleton group weighted by its
-//    tenant weight, so an all-ungrouped demand vector arbitrates exactly like
-//    WeightedSharePolicy — the ungrouped path is unchanged by construction.
+//    leftovers redistributed). An ungrouped tenant (group 0) is its own
+//    singleton group weighted by its tenant weight, so without groups this
+//    is a flat split by tenant weight. Unlike pressure, a tenant cannot game
+//    it by inflating its own reported miss.
 //  * AdaptiveWeightPolicy — nudges per-tenant effective weights from goal-miss
 //    history (pressure > 0 across consecutive arbitrations boosts a tenant's
 //    weight, slack decays it back to the configured base) and delegates to an
@@ -30,7 +29,7 @@
 //    stateful member — the coordinator serializes arbitrations under its
 //    lock, which is the thread-safety the mutable state relies on.
 //
-// DeadlinePressure / WeightedShare / Grouped are pure and stateless.
+// DeadlinePressure / WeightedShare are pure and stateless.
 
 #include <memory>
 #include <string>
@@ -67,21 +66,15 @@ class DeadlinePressurePolicy final : public ArbitrationPolicy {
                  std::vector<int>& grants) const override;
 };
 
-class WeightedSharePolicy final : public ArbitrationPolicy {
- public:
-  std::string name() const override { return "weighted-share"; }
-  void arbitrate(int budget, const std::vector<TenantDemand>& demands,
-                 std::vector<int>& grants) const override;
-};
-
 /// Two-level water-fill: budget across groups by group weight, then within
 /// each group by member weight (ties toward higher pressure, then demand
 /// order). Group weights arrive on the demand rows (`group_weight`, filled by
 /// the coordinator from its group table); an inconsistent vector — two rows
-/// of one group disagreeing — resolves to the first row's value.
-class GroupedArbitrationPolicy final : public ArbitrationPolicy {
+/// of one group disagreeing — resolves to the first row's value. A row with
+/// desired <= 0 gets no floor.
+class WeightedSharePolicy final : public ArbitrationPolicy {
  public:
-  std::string name() const override { return "grouped-weighted"; }
+  std::string name() const override { return "weighted-share"; }
   void arbitrate(int budget, const std::vector<TenantDemand>& demands,
                  std::vector<int>& grants) const override;
 };

@@ -29,20 +29,6 @@ bool write_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-bool read_full(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t at = 0;
-  while (at < size) {
-    const ssize_t n = ::read(fd, data + at, size - at);
-    if (n > 0) {
-      at += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // EOF or hard error
-  }
-  return true;
-}
-
 namespace {
 
 /// Read exactly `size` bytes before `deadline`, polling with the REMAINING
@@ -136,12 +122,7 @@ ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
 
 }  // namespace frame_io
 
-FdTransport::~FdTransport() {
-  // Derived destructors normally call close() themselves (so their
-  // on_close_locked hook runs while the derived object is still whole);
-  // this is the backstop for the plain-FdTransport case.
-  FdTransport::close();
-}
+FdTransport::~FdTransport() { close(); }
 
 bool FdTransport::send(const WireFrame& f) { return send(f, nullptr, 0); }
 
@@ -196,11 +177,7 @@ void FdTransport::close() {
     // EOF instead of racing a recycled fd number.
     ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
-    const int fd = fd_;
     fd_ = -1;
-    alive_.store(false, std::memory_order_release);
-    on_close_locked(fd);
-    return;
   }
   alive_.store(false, std::memory_order_release);
 }

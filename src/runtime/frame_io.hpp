@@ -1,33 +1,25 @@
 #pragma once
 // Shared fd-level frame I/O — the one copy of the short-write / short-read /
-// EINTR / deadline logic every real (fd-backed) transport uses.
-//
-// Before this header existed, PipeTransport (subprocess_backend.cpp) carried
-// a private write_full/read loop; growing a second fd transport (TCP) would
-// have meant a second copy of exactly the code whose edge cases — a short
-// write resumed after EINTR, send() returning 0, a peer stalling mid-frame —
-// are the ones that only bite under real network load. The helpers here are
-// that audit, factored once:
+// EINTR / deadline logic, used by both ends of the TCP transport (the
+// pool-side FdTransport and the TcpWorkerHost serve loop). Its edge cases —
+// a short write resumed after EINTR, send() returning 0, a peer stalling
+// mid-frame — are the ones that only bite under real network load:
 //
 //   * write_full: send() with MSG_NOSIGNAL (a dead peer must surface as
 //     EPIPE, never SIGPIPE), resumes after EINTR *without losing the partial
 //     progress*, and treats n == 0 as a hard error (a blocking stream send
 //     never legitimately writes nothing — looping on it would spin forever);
-//   * read_full: the blocking mirror, used by the fork()ed subprocess child
-//     (async-signal-safe: no locks, no allocation, fixed caller buffers);
-//   * read_frame: the deadline-honoring parent-side read. Every poll uses
-//     the REMAINING time to the deadline computed once at entry — the
-//     timeout is never re-armed after a partial read, so a peer trickling
-//     one byte per poll cannot extend the total wait past `timeout`
+//   * read_frame: the deadline-honoring read. Every poll uses the REMAINING
+//     time to the deadline computed once at entry — the timeout is never
+//     re-armed after a partial read, so a peer trickling one byte per poll
+//     cannot extend the total wait past `timeout`
 //     (tests/tcp_transport_test.cpp pins total wait <= timeout + epsilon).
 //     The result distinguishes a clean timeout (nothing consumed, the
 //     stream is still in sync) from a mid-frame stall (the stream is
 //     desynced for good — the caller poisons the link).
 //
 // FdTransport wraps the helpers into the Transport contract over any
-// connected stream fd; PipeTransport (socketpair to a fork child) and
-// TcpTransport (socket to a worker host) derive from it and only add their
-// teardown hooks.
+// connected stream fd; TcpTransportFactory hands one out per joined session.
 
 #include <atomic>
 #include <cstddef>
@@ -43,12 +35,8 @@ namespace frame_io {
 
 /// Write exactly `size` bytes to a connected stream fd. MSG_NOSIGNAL on
 /// every send; EINTR resumes with the partial progress kept; n == 0 and
-/// every other error return false. Async-signal-safe.
+/// every other error return false.
 bool write_full(int fd, const std::uint8_t* data, std::size_t size);
-
-/// Blocking read of exactly `size` bytes (EINTR-resumed, EOF = false).
-/// Async-signal-safe — this is the fork()ed worker child's read loop.
-bool read_full(int fd, std::uint8_t* data, std::size_t size);
 
 enum class ReadResult {
   kFrame,         // one whole frame (and its payload, if any) decoded
@@ -68,14 +56,13 @@ ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
 
 }  // namespace frame_io
 
-/// Transport over one connected stream fd — the shared body of
-/// PipeTransport (socketpair to a fork child) and TcpTransport (socket to a
-/// remote worker host). Locking: `mu_` serializes send/close against each
-/// other; recv stays lease-owner-only (the session machine's contract), so
-/// it reads the fd without the mutex — close() shuts the socket down before
-/// closing so a concurrent recv wakes with EOF instead of touching a
-/// recycled fd number.
-class FdTransport : public Transport {
+/// Transport over one connected stream fd (a TCP socket to a worker host,
+/// or one end of a socketpair in the wire-layer tests). Locking: `mu_`
+/// serializes send/close against each other; recv stays lease-owner-only
+/// (the session machine's contract), so it reads the fd without the mutex —
+/// close() shuts the socket down before closing so a concurrent recv wakes
+/// with EOF instead of touching a recycled fd number.
+class FdTransport final : public Transport {
  public:
   explicit FdTransport(int fd) : fd_(fd) {}
   ~FdTransport() override;
@@ -88,11 +75,6 @@ class FdTransport : public Transport {
             Duration timeout) override;
   bool alive() const override;
   void close() override;
-
- protected:
-  /// Teardown hook, called once under mu_ with the fd already shut down and
-  /// closed: PipeTransport reaps its child and un-registers the parent fd.
-  virtual void on_close_locked(int fd) { (void)fd; }
 
  private:
   bool recv_impl(WireFrame& out, std::vector<std::uint8_t>* payload,

@@ -1,9 +1,9 @@
 #pragma once
 // RemoteWorkerBackend: the session state machine behind every remote
-// WorkerBackend — SubprocessBackend runs it over fork()ed processes and
-// socketpairs, the fault-injection tests run the *same* machine over
-// FakeTransportFactory, so the deterministic suite exercises exactly the
-// code the real transport uses.
+// WorkerBackend — TcpBackend runs it over sockets to a TcpWorkerHost, the
+// fault-injection tests run the *same* machine over FakeTransportFactory,
+// so the deterministic suite exercises exactly the code the real transport
+// uses.
 //
 // Model: one session per pool-worker index. The session is a *transport
 // proxy*, not a second scheduler — the task's closure always executes
@@ -73,7 +73,7 @@ namespace askel {
 
 struct RemoteBackendConfig {
   /// Hard capacity: provisioning past this fails (kFailed) — the test hook
-  /// for "the cluster is full" and the subprocess fan-out bound.
+  /// for "the cluster is full" and the worker host's fan-out bound.
   int max_workers = 256;
   /// Provision deadline: a pending join older than this fails.
   Duration connect_timeout = 5.0;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -36,15 +37,6 @@ bool send_frame(int fd, const WireFrame& f, const std::uint8_t* payload,
   return send_frame(fd, f) &&
          (size == 0 || frame_io::write_full(fd, payload, size));
 }
-
-/// The pool-side transport is the shared FdTransport verbatim — TCP adds no
-/// teardown of its own (no child to reap); the alias exists for on-wire
-/// clarity in stack traces and docs.
-class TcpTransport final : public FdTransport {
- public:
-  using FdTransport::FdTransport;
-  ~TcpTransport() override { close(); }
-};
 
 }  // namespace
 
@@ -143,7 +135,7 @@ void TcpWorkerHost::serve(int fd) {
     std::erase(session_fds_, fd);
   };
   // Hello first — the factory's try_connect waits for it before declaring
-  // the join complete, same contract as the subprocess child.
+  // the join complete.
   if (!send_frame(fd, WireFrame{WireFrameType::kHello, 0, 0,
                                 static_cast<std::uint64_t>(::getpid()), 0})) {
     forget_fd();
@@ -260,7 +252,7 @@ TransportFactory::Connect TcpTransportFactory::try_connect(int worker) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Connect{nullptr, true};
   // One deadline, anchored HERE, covers the nonblocking connect and the
-  // hello wait — the same shape as the subprocess fork + hello join.
+  // hello wait.
   const auto t0 = std::chrono::steady_clock::now();
   const auto deadline =
       t0 + std::chrono::duration<double>(std::max(0.0, cfg_.connect_timeout));
@@ -308,7 +300,7 @@ TransportFactory::Connect TcpTransportFactory::try_connect(int worker) {
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  auto transport = std::make_unique<TcpTransport>(fd);
+  auto transport = std::make_unique<FdTransport>(fd);
   const double hello_wait =
       std::chrono::duration<double>(deadline - std::chrono::steady_clock::now())
           .count();
@@ -322,14 +314,22 @@ TransportFactory::Connect TcpTransportFactory::try_connect(int worker) {
                         .count();
   {
     std::lock_guard lock(mu_);
-    join_us_.push_back(us);
+    ++joins_.count;
+    joins_.mean_us += (us - joins_.mean_us) / static_cast<double>(joins_.count);
+    joins_.max_us = std::max(joins_.max_us, us);
+    if (kept_us_.size() < kKeptJoins) kept_us_.push_back(us);
   }
   return Connect{std::move(transport), false};
 }
 
+JoinLatencyStats TcpTransportFactory::join_stats() const {
+  std::lock_guard lock(mu_);
+  return joins_;
+}
+
 std::vector<double> TcpTransportFactory::join_latencies_us() const {
   std::lock_guard lock(mu_);
-  return join_us_;
+  return kept_us_;
 }
 
 }  // namespace askel

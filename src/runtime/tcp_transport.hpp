@@ -1,7 +1,7 @@
 #pragma once
-// TcpBackend: RemoteWorkerBackend over real TCP sockets — the first backend
-// whose remote side can EXECUTE work (registered muscles, muscle_table.hpp)
-// instead of merely echoing lease brackets.
+// TcpBackend: RemoteWorkerBackend over real TCP sockets — the one real
+// remote transport. Its remote side can EXECUTE work (registered muscles,
+// muscle_table.hpp), not only echo lease brackets.
 //
 // Two halves, deliberately startable in different processes / on different
 // hosts:
@@ -9,8 +9,8 @@
 //   * TcpWorkerHost — the worker-host side. Binds a listener (port 0 =
 //     ephemeral, port() reports the choice), accepts one connection per
 //     pool-worker session and runs a serve loop per connection: sends
-//     kHello first (mirroring the subprocess child, so try_connect's "wait
-//     for hello" contract is transport-independent), then answers
+//     kHello first (try_connect waits for it, so a join is complete only
+//     once the host is really serving), then answers
 //       kSubmit      -> kComplete          (batch-transparent: one Complete
 //                                           per Submit regardless of `b`)
 //       kHeartbeat   -> kHeartbeatAck
@@ -26,11 +26,10 @@
 //
 //   * TcpTransportFactory / TcpBackend — the pool side. try_connect does a
 //     nonblocking connect with the deadline anchored once at entry
-//     (covering connect AND the hello wait, exactly the subprocess join
-//     contract), sets TCP_NODELAY (frames are 33 bytes; Nagle would add
-//     40 ms to every lease round trip), and hands back an FdTransport —
-//     the same deadline-honoring frame I/O the subprocess transport uses
-//     (frame_io.hpp), which is the point: one audited wire layer.
+//     (covering connect AND the hello wait), sets TCP_NODELAY (frames are
+//     33 bytes; Nagle would add 40 ms to every lease round trip), and hands
+//     back an FdTransport — the deadline-honoring frame I/O of frame_io.hpp,
+//     the one audited wire layer both ends share.
 //
 // Loopback is the tested configuration (conformance + bench); nothing here
 // assumes it — the host field takes any IPv4 address.
@@ -51,10 +50,10 @@ namespace askel {
 struct TcpWorkerHostConfig {
   /// 0 = ephemeral (the OS picks; read it back via port()).
   std::uint16_t port = 0;
-  /// Test hook mirroring SubprocessBackendConfig::crash_after_tasks: the
-  /// serve loop closes its connection after reading the Nth Submit and
-  /// BEFORE writing its Complete (0 = never) — a real peer death inside
-  /// the lease window, detected pool-side as EOF.
+  /// Test hook: each serve loop closes its connection after reading its
+  /// Nth Submit and BEFORE writing the Complete (0 = never) — a real peer
+  /// death inside the lease window, detected pool-side as EOF. Counted in
+  /// Submit frames, so under lease batching one batch window counts once.
   int crash_after_tasks = 0;
 };
 
@@ -114,20 +113,33 @@ struct TcpBackendConfig {
   Duration batch_flush = 0.005;
 };
 
+/// Running summary of the observed connect -> Hello join latencies.
+struct JoinLatencyStats {
+  std::uint64_t count = 0;
+  double mean_us = 0.0;
+  double max_us = 0.0;
+};
+
 class TcpTransportFactory final : public TransportFactory {
  public:
+  /// How many join latencies join_latencies_us() keeps.
+  static constexpr std::size_t kKeptJoins = 64;
+
   explicit TcpTransportFactory(TcpBackendConfig cfg = {});
   Connect try_connect(int worker) override;
 
-  /// Observed connect -> Hello latencies (microseconds), in join order —
-  /// the transport bench reports these next to the subprocess fork+hello
-  /// numbers.
+  /// Count, mean and max over every join so far — O(1) memory however long
+  /// the factory provisions.
+  JoinLatencyStats join_stats() const;
+  /// The first kKeptJoins connect -> Hello latencies (microseconds), in join
+  /// order; later joins only enter join_stats().
   std::vector<double> join_latencies_us() const;
 
  private:
   const TcpBackendConfig cfg_;
   mutable std::mutex mu_;
-  std::vector<double> join_us_;
+  JoinLatencyStats joins_;
+  std::vector<double> kept_us_;
 };
 
 namespace detail {

@@ -34,16 +34,13 @@
 // fixed-size protocol PR 5 shipped, byte-identical.
 //
 // A Transport is one worker's duplex channel. Implementations:
-//   * PipeTransport (subprocess_backend.cpp): a socketpair to a fork()ed
-//     worker process — real fds, real EOF-on-crash, real join latency;
-//   * TcpTransport (tcp_transport.cpp): a real socket to a TcpWorkerHost on
-//     another host — the first transport whose remote side executes
-//     registered muscles instead of echoing brackets;
+//   * FdTransport (frame_io.hpp): a real socket to a TcpWorkerHost
+//     (tcp_transport.hpp) — real fds, real EOF-on-crash, real join latency,
+//     and a remote side that executes registered muscles;
 //   * FakeWorkerTransport (fake_transport.cpp): a seeded, virtual-clock
 //     double that injects every failure mode deterministically.
 //
-// encode/decode are freestanding and heap-free so the fork()ed worker child
-// (which may only use async-signal-safe operations) can share them.
+// encode/decode are freestanding and heap-free.
 
 #include <array>
 #include <cstddef>
@@ -80,7 +77,7 @@ enum class NamedStatus : std::uint8_t {
   kOk = 0,             // result payload is the encoded return value
   kUnknownMuscle = 1,  // the wire id is not registered on the worker host
   kBadArgument = 2,    // the argument payload did not decode
-  kUnsupported = 3,    // the remote side has no muscle table (subprocess echo)
+  kUnsupported = 3,    // reserved: no current worker host answers it
 };
 
 /// Hard ceiling on a named frame's payload: a frame advertising more is

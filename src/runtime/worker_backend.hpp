@@ -12,7 +12,7 @@
 //    in-process threads that are ready instantly (ThreadBackend, the
 //    original behavior), or remote workers that take time to join, can
 //    refuse to join, and can die (RemoteWorkerBackend over a Transport —
-//    fork/exec'd processes for SubprocessBackend, a seeded in-memory fault
+//    TCP sessions to a worker host for TcpBackend, a seeded in-memory fault
 //    injector for tests).
 //
 // Contract (the transport conformance suite in

@@ -26,7 +26,9 @@ class TrackerSet {
   /// Listener adapter for EventBus registration.
   EventBus::ListenerPtr as_listener();
 
-  /// Build the ADG of the current root at observation time `now`.
+  /// Build the ADG of the current root at observation time `now`, raised to
+  /// the latest event timestamp folded in so far: a caller reads its clock
+  /// before the lock, and a worker's later event may land in between.
   /// Returns an empty snapshot if no execution has been observed.
   AdgSnapshot snapshot(TimePoint now) const;
 
@@ -47,6 +49,7 @@ class TrackerSet {
   EventBus::ListenerPtr listener_;  // lazily-built shared bus adapter
   std::unordered_map<std::int64_t, TrackerPtr> by_exec_;
   std::vector<TrackerPtr> roots_;
+  TimePoint latest_event_ = 0.0;
 };
 
 }  // namespace askel

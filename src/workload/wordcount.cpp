@@ -4,7 +4,7 @@
 #include <functional>
 #include <optional>
 
-#include "runtime/subprocess_backend.hpp"
+#include "runtime/tcp_transport.hpp"
 
 namespace askel {
 namespace {
@@ -142,19 +142,22 @@ ScenarioResult run_wordcount_scenario(const ScenarioConfig& cfg,
   // then gauge/lp_history series mix all tenants sharing it). A coordinator
   // always runs on its own pool — grants actuate there, so running anywhere
   // else (including a mismatched shared_pool) would leave the executing pool
-  // stuck at initial_lp. The subprocess backend is declared before the pool:
-  // the pool's destructor cancels pending provisions against it.
-  std::optional<SubprocessBackend> subprocess_backend;
+  // stuck at initial_lp. The worker host and TCP backend are declared before
+  // the pool: the pool's destructor cancels pending provisions against them.
+  std::optional<TcpWorkerHost> tcp_host;
+  std::optional<TcpBackend> tcp_backend;
   std::optional<ResizableThreadPool> own_pool;
   ResizableThreadPool* shared =
       cfg.coordinator != nullptr ? &cfg.coordinator->pool() : cfg.shared_pool;
   if (shared == nullptr) {
     own_pool.emplace(cfg.initial_lp, cfg.max_lp);
-    if (cfg.backend == ScenarioBackend::kSubprocess) {
-      SubprocessBackendConfig sub;
-      sub.max_workers = cfg.max_lp;
-      subprocess_backend.emplace(sub);
-      own_pool->set_backend(&*subprocess_backend);
+    if (cfg.backend == ScenarioBackend::kTcp) {
+      tcp_host.emplace();
+      TcpBackendConfig tcp;
+      tcp.port = tcp_host->port();
+      tcp.max_workers = cfg.max_lp;
+      tcp_backend.emplace(tcp);
+      own_pool->set_backend(&*tcp_backend);
     }
   }
   ResizableThreadPool& pool = shared != nullptr ? *shared : *own_pool;

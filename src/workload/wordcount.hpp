@@ -83,10 +83,10 @@ void init_named_estimates(EstimateRegistry& reg, const SkelNode& root,
                           const NamedEstimates& named);
 
 /// Where the pool's worker capacity lives (paper §6): in-process threads
-/// (the default, the paper's multicore testbed) or fork()ed worker processes
-/// behind the subprocess transport — real join latency, real crash
-/// detection, same LP decisions.
-enum class ScenarioBackend : int { kThread = 0, kSubprocess = 1 };
+/// (the default, the paper's multicore testbed) or sessions to an
+/// in-process TcpWorkerHost over loopback TCP — real join latency, real
+/// crash detection, same LP decisions.
+enum class ScenarioBackend : int { kThread = 0, kTcp = 1 };
 
 struct ScenarioConfig {
   PaperTimings timings;            // includes the time scale

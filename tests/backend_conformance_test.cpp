@@ -1,7 +1,7 @@
 // Transport conformance suite: one parameterized fixture, run against every
-// WorkerBackend — ThreadBackend (in-process), SubprocessBackend (real
-// fork()ed worker processes over socketpairs) and RemoteWorkerBackend over a
-// benign real-time FakeTransport. Future backends join the suite by adding a
+// WorkerBackend — ThreadBackend (in-process), RemoteWorkerBackend over a
+// benign real-time FakeTransport, and TcpBackend (real loopback sockets to
+// an in-process TcpWorkerHost). Future backends join the suite by adding a
 // value to the INSTANTIATE list and inherit the same contract:
 //
 //   * every submitted task completes (plain, nested, tenant-tagged);
@@ -10,8 +10,8 @@
 //   * remote backends account every lease exactly once (no lost tasks) and
 //     answer liveness probes.
 //
-// Subprocess-specific behavior (real crashes, capacity refusal) is covered
-// by the non-parameterized tests at the bottom.
+// TCP-specific behavior (real peer deaths, capacity refusal) is covered by
+// the non-parameterized tests at the bottom.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 
 #include "runtime/fake_transport.hpp"
 #include "runtime/remote_backend.hpp"
-#include "runtime/subprocess_backend.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/worker_backend.hpp"
@@ -33,12 +32,11 @@ namespace {
 
 using namespace std::chrono_literals;
 
-enum class BackendKind { kThread, kSubprocess, kFakeRemote, kTcp };
+enum class BackendKind { kThread, kFakeRemote, kTcp };
 
 std::string kind_name(const ::testing::TestParamInfo<BackendKind>& info) {
   switch (info.param) {
     case BackendKind::kThread: return "Thread";
-    case BackendKind::kSubprocess: return "Subprocess";
     case BackendKind::kFakeRemote: return "FakeRemote";
     case BackendKind::kTcp: return "Tcp";
   }
@@ -60,14 +58,6 @@ struct Rig {
     switch (kind) {
       case BackendKind::kThread:
         break;  // the built-in default
-      case BackendKind::kSubprocess: {
-        SubprocessBackendConfig cfg;
-        cfg.max_workers = max_lp;
-        auto sub = std::make_unique<SubprocessBackend>(cfg);
-        remote = sub.get();
-        backend = std::move(sub);
-        break;
-      }
       case BackendKind::kFakeRemote: {
         FakeFaultPlan plan;
         plan.virtual_time = false;  // poll the real clock: no pumping needed
@@ -196,7 +186,6 @@ TEST_P(BackendConformance, RemoteSessionsAnswerLivenessProbes) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendConformance,
                          ::testing::Values(BackendKind::kThread,
-                                           BackendKind::kSubprocess,
                                            BackendKind::kFakeRemote,
                                            BackendKind::kTcp),
                          kind_name);
@@ -253,19 +242,23 @@ TEST(TcpBackendCrash, PeerDeathBetweenSubmitAndCompleteOfABatchedLease) {
   EXPECT_GE(host.sessions_accepted(), 3u);  // crashed sessions re-joined
 }
 
-// ----------------------------------------------- subprocess-specific -------
-
-TEST(SubprocessBackend, RealWorkerCrashIsDetectedAndNoTaskIsLost) {
-  SubprocessBackendConfig cfg;
+TEST(TcpBackendCrash, UnbatchedPeerDeathIsDetectedAndNoTaskIsLost) {
+  // Every host session dies after its 5th Submit, before the Complete: with
+  // one bracket per lease each death strands exactly one open lease.
+  TcpWorkerHostConfig host_cfg;
+  host_cfg.crash_after_tasks = 5;
+  TcpWorkerHost host(default_muscle_table(), host_cfg);
+  ASSERT_TRUE(host.listening());
+  TcpBackendConfig cfg;
+  cfg.port = host.port();
   cfg.max_workers = 4;
-  cfg.crash_after_tasks = 5;  // every worker process dies after 5 leases
-  SubprocessBackend backend(cfg);
+  TcpBackend backend(cfg);
   std::atomic<int> done{0};
   {
     ResizableThreadPool pool(2, 4);
     pool.set_backend(&backend);
-    // Leases only open on live sessions: wait for the forks to land before
-    // submitting, or the tasks drain locally before any child can crash.
+    // Leases only open on live sessions: wait for the joins to land before
+    // submitting, or the tasks drain locally before any peer can die.
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (backend.live_sessions() < 2 &&
            std::chrono::steady_clock::now() < deadline) {
@@ -276,50 +269,23 @@ TEST(SubprocessBackend, RealWorkerCrashIsDetectedAndNoTaskIsLost) {
       pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
     }
     pool.wait_idle();
+    pool.set_backend(nullptr);
   }
-  // Every task completed even though the remote workers kept dying: the
-  // closures run in-process, crashes cost only the leases.
+  // Every task completed even though the remote peers kept dying: the
+  // closures run in-process, deaths cost only the leases.
   EXPECT_EQ(done.load(), 50);
   const RemoteBackendStats s = backend.stats();
   EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
   EXPECT_GE(s.losses_recovered, 1u);  // the EOFs were really detected
 }
 
-TEST(SubprocessBackend, BatchedLeaseCrashBetweenSubmitAndCompleteRecovers) {
-  // The child reads the Nth Submit and _exits BEFORE writing its Complete —
-  // with lease batching the open lease covers a whole window of brackets.
-  // Exactly the in-flight leases are recovered; every task completes.
-  SubprocessBackendConfig cfg;
-  cfg.max_workers = 4;
-  cfg.crash_after_tasks = 3;
-  cfg.lease_batch = 2;
-  SubprocessBackend backend(cfg);
-  std::atomic<int> done{0};
-  {
-    ResizableThreadPool pool(2, 4);
-    pool.set_backend(&backend);
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (backend.live_sessions() < 2 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_EQ(backend.live_sessions(), 2);
-    for (int k = 0; k < 40; ++k) {
-      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.wait_idle();
-  }
-  EXPECT_EQ(done.load(), 40);
-  const RemoteBackendStats s = backend.stats();
-  EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
-  EXPECT_GE(s.losses_recovered, 1u);   // the mid-window EOFs were detected
-  EXPECT_GE(s.tasks_batched, 1u);      // the batched dialect was really used
-}
-
-TEST(SubprocessBackend, ProvisionBeyondCapacityFailsWithoutWedging) {
-  SubprocessBackendConfig cfg;
+TEST(TcpBackend, ProvisionBeyondCapacityFailsWithoutWedging) {
+  TcpWorkerHost host;
+  ASSERT_TRUE(host.listening());
+  TcpBackendConfig cfg;
+  cfg.port = host.port();
   cfg.max_workers = 2;
-  SubprocessBackend backend(cfg);
+  TcpBackend backend(cfg);
   ResizableThreadPool pool(1, 8);
   pool.set_backend(&backend);
   EXPECT_EQ(pool.set_target_lp(8), 8);  // clamp says 8, capacity says no
@@ -333,25 +299,6 @@ TEST(SubprocessBackend, ProvisionBeyondCapacityFailsWithoutWedging) {
   }
   EXPECT_EQ(pool.effective_lp(), 2);
   pool.set_backend(nullptr);
-}
-
-TEST(SubprocessBackend, JoinLatencyIsMeasured) {
-  SubprocessBackendConfig cfg;
-  cfg.max_workers = 2;
-  SubprocessBackend backend(cfg);
-  {
-    ResizableThreadPool pool(2, 2);
-    pool.set_backend(&backend);
-    const auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (backend.live_sessions() < 2 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(1ms);
-    }
-    EXPECT_EQ(backend.live_sessions(), 2);
-  }
-  const auto joins = backend.transport_factory().join_latencies_us();
-  ASSERT_GE(joins.size(), 2u);
-  for (const double us : joins) EXPECT_GT(us, 0.0);
 }
 
 }  // namespace

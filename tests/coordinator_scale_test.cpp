@@ -114,14 +114,68 @@ TEST(CoordinatorScale, NoGrantOutlivesItsActiveEntry) {
 
 // -------------------------------------------------------------- grouped --
 
-// With no groups assigned, GroupedArbitrationPolicy must be grant-for-grant
-// identical to WeightedSharePolicy (every tenant is a singleton group
-// carrying its own weight) — the regression lock that lets the grouped
-// policy ship without disturbing any existing weighted behavior.
+// With no groups assigned, the group-aware WeightedSharePolicy must be
+// grant-for-grant identical to the flat weighted water-fill it replaced
+// (every tenant is a singleton group carrying its own weight). The tables
+// and the digest below were recorded from that flat policy: the first eight
+// seeded vectors row by row, all 200 as an FNV-1a digest of their grants.
 TEST(GroupedPolicy, UngroupedReducesToWeightedShare) {
+  struct Row {
+    int desired;
+    double pressure;
+    int weight;
+  };
+  struct Case {
+    int budget;
+    std::vector<Row> rows;
+    std::vector<int> grants;
+  };
+  const std::vector<Case> recorded = {
+      {19,
+       {{7, 0.5, 2}, {1, 2, 3}, {10, 0, 3}, {10, 1.5, 3}, {1, 0, 2}, {10, 1, 3},
+        {2, 1, 1}, {8, 0.5, 1}},
+       {3, 1, 4, 4, 1, 4, 1, 1}},
+      {9,
+       {{4, 0.5, 4}, {9, 0, 2}, {1, 2, 2}, {8, 1, 3}, {12, 0, 4}, {8, 2, 2},
+        {5, 0, 3}, {6, 1.5, 2}},
+       {2, 1, 1, 1, 1, 1, 1, 1}},
+      {8,
+       {{1, 2, 3}, {1, 2, 3}, {8, 2, 2}, {5, 1.5, 4}, {3, 2, 1}, {2, 0, 1},
+        {6, 1.5, 3}},
+       {1, 1, 1, 2, 1, 1, 1}},
+      {21, {{5, 0.5, 3}}, {5}},
+      {11, {{10, 2, 4}, {6, 1, 4}, {6, 1.5, 4}}, {4, 3, 4}},
+      {1,
+       {{11, 2, 3}, {2, 1.5, 1}, {2, 0, 1}, {8, 0, 1}, {12, 0, 2}, {5, 1, 4},
+        {4, 0.5, 1}},
+       {0, 0, 0, 0, 0, 1, 0}},
+      {7, {{4, 2, 1}}, {4}},
+      {3,
+       {{8, 2, 4}, {5, 1, 4}, {10, 0, 2}, {8, 1, 4}, {2, 0, 3}, {12, 0.5, 3},
+        {1, 0.5, 2}, {2, 1.5, 4}},
+       {1, 1, 0, 0, 0, 0, 0, 1}},
+  };
   WeightedSharePolicy weighted;
-  GroupedArbitrationPolicy grouped;
+  for (std::size_t c = 0; c < recorded.size(); ++c) {
+    std::vector<TenantDemand> demands;
+    for (const Row& r : recorded[c].rows) {
+      demands.push_back({.tenant = static_cast<int>(demands.size()) + 1,
+                         .desired = r.desired,
+                         .pressure = r.pressure,
+                         .weight = r.weight,
+                         .group_weight = r.weight});
+    }
+    std::vector<int> grants(demands.size(), 0);
+    weighted.arbitrate(recorded[c].budget, demands, grants);
+    EXPECT_EQ(grants, recorded[c].grants) << "recorded case " << c;
+  }
+
   std::mt19937_64 rng(7);
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  const auto mix = [&digest](std::uint64_t v) {
+    digest ^= v;
+    digest *= 1099511628211ull;
+  };
   for (int iter = 0; iter < 200; ++iter) {
     const int n = 1 + static_cast<int>(rng() % 8);
     const int budget = 1 + static_cast<int>(rng() % 24);
@@ -135,11 +189,12 @@ TEST(GroupedPolicy, UngroupedReducesToWeightedShare) {
       d.group = 0;
       d.group_weight = d.weight;
     }
-    std::vector<int> gw(demands.size(), 0), gg(demands.size(), 0);
-    weighted.arbitrate(budget, demands, gw);
-    grouped.arbitrate(budget, demands, gg);
-    ASSERT_EQ(gw, gg) << "diverged at iter " << iter << " budget " << budget;
+    std::vector<int> grants(demands.size(), 0);
+    weighted.arbitrate(budget, demands, grants);
+    for (const int g : grants) mix(static_cast<std::uint64_t>(g));
+    mix(0xFFFF);  // vector boundary
   }
+  EXPECT_EQ(digest, 0x4548617fca5df5f1ull);
 }
 
 // Two-level split: the budget goes across groups by GROUP weight, then
@@ -147,27 +202,27 @@ TEST(GroupedPolicy, UngroupedReducesToWeightedShare) {
 // vs group B (weight 1, one member) on budget 16 => 12 / 4 across groups,
 // 6+6 within A.
 TEST(GroupedPolicy, SplitsAcrossGroupsByGroupWeightThenWithin) {
-  GroupedArbitrationPolicy grouped;
+  WeightedSharePolicy policy;
   std::vector<TenantDemand> demands(3);
   demands[0] = {.tenant = 1, .desired = 8, .group = 1, .group_weight = 3};
   demands[1] = {.tenant = 2, .desired = 8, .group = 1, .group_weight = 3};
   demands[2] = {.tenant = 3, .desired = 8, .group = 2, .group_weight = 1};
   std::vector<int> grants(3, 0);
-  grouped.arbitrate(16, demands, grants);
+  policy.arbitrate(16, demands, grants);
   EXPECT_EQ(grants[0], 6);
   EXPECT_EQ(grants[1], 6);
   EXPECT_EQ(grants[2], 4);
 }
 
 // A group capped at its aggregate desired frees the remainder for the other
-// groups, exactly like a desired-capped tenant under WeightedSharePolicy.
+// groups, exactly like a desired-capped ungrouped tenant.
 TEST(GroupedPolicy, CappedGroupFreesBudgetForOthers) {
-  GroupedArbitrationPolicy grouped;
+  WeightedSharePolicy policy;
   std::vector<TenantDemand> demands(2);
   demands[0] = {.tenant = 1, .desired = 2, .group = 1, .group_weight = 3};
   demands[1] = {.tenant = 2, .desired = 16, .group = 2, .group_weight = 1};
   std::vector<int> grants(2, 0);
-  grouped.arbitrate(16, demands, grants);
+  policy.arbitrate(16, demands, grants);
   EXPECT_EQ(grants[0], 2);   // capped at desired despite weight 3
   EXPECT_EQ(grants[1], 14);  // the freed share flows over
 }
@@ -178,7 +233,7 @@ TEST(GroupedPolicy, CappedGroupFreesBudgetForOthers) {
 TEST(GroupedPolicy, CoordinatorRoutesGroupStateToPolicy) {
   ResizableThreadPool pool(1, 16);
   LpBudgetCoordinator coord(pool, 16);
-  coord.set_policy(std::make_unique<GroupedArbitrationPolicy>());
+  coord.set_policy(std::make_unique<WeightedSharePolicy>());
 
   const int a = coord.register_tenant("a");
   const int b = coord.register_tenant("b");

@@ -48,6 +48,30 @@ TEST(SeqSm, Figure3UpdatesDurationEstimate) {
   EXPECT_DOUBLE_EQ(*reg.t(fe.m->id()), 6.0);
 }
 
+// A caller reads its clock before snapshot() takes the tracker lock; a
+// worker's event stamped later can be folded in between. The snapshot must
+// still be valid: its `now` is never earlier than a folded event.
+TEST(TrackerSetSnapshot, NowIsNeverEarlierThanAFoldedEvent) {
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto skel = Seq(fe);
+  const SkelNode* n = skel.node().get();
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  const double t = 10.0, delta = 0.25;
+
+  ts.on_event(ev(n, 1, -1, When::kBefore, Where::kExecute, fe.m->id(), t + delta));
+  AdgSnapshot g = ts.snapshot(t);  // running, started after the caller's now
+  EXPECT_TRUE(g.validate().empty()) << g.validate();
+  EXPECT_DOUBLE_EQ(g.now, t + delta);
+
+  ts.on_event(ev(n, 1, -1, When::kAfter, Where::kExecute, fe.m->id(), t + 2 * delta));
+  g = ts.snapshot(t + delta);  // done, ended after the caller's now
+  EXPECT_TRUE(g.validate().empty()) << g.validate();
+  EXPECT_DOUBLE_EQ(g.now, t + 2 * delta);
+
+  EXPECT_DOUBLE_EQ(ts.snapshot(t + 1.0).now, t + 1.0);  // a later now stands
+}
+
 TEST(SeqSm, IndexGuardKeepsInstancesSeparate) {
   // Two interleaved seq instances (the [idx == i] guard of Figure 3): the
   // after of instance B must not close instance A's record.

@@ -23,7 +23,6 @@
 
 #include "runtime/frame_io.hpp"
 #include "runtime/muscle_table.hpp"
-#include "runtime/subprocess_backend.hpp"
 #include "runtime/tcp_transport.hpp"
 #include "runtime/transport.hpp"
 
@@ -216,10 +215,30 @@ TEST(TcpTransport, ConnectJoinsAndServesTheLeaseProtocol) {
       WireFrame{WireFrameType::kRetire, 0, 3, 0, 0}));
   ASSERT_TRUE(c.transport->recv(f, 2.0));
   EXPECT_EQ(f.type, WireFrameType::kRetired);
-  const auto joins = factory.join_latencies_us();
-  ASSERT_EQ(joins.size(), 1u);
-  EXPECT_GT(joins[0], 0.0);
+  const JoinLatencyStats joins = factory.join_stats();
+  ASSERT_EQ(joins.count, 1u);
+  EXPECT_GT(joins.mean_us, 0.0);
+  EXPECT_EQ(joins.max_us, joins.mean_us);
+  EXPECT_EQ(factory.join_latencies_us(), std::vector<double>{joins.mean_us});
   EXPECT_EQ(host.sessions_accepted(), 1u);
+}
+
+TEST(TcpTransport, JoinRecordStaysBoundedAcrossManyJoins) {
+  TcpWorkerHost host;
+  ASSERT_TRUE(host.listening());
+  TcpBackendConfig cfg;
+  cfg.port = host.port();
+  cfg.max_workers = 1;
+  TcpTransportFactory factory(cfg);
+  const std::size_t joins = TcpTransportFactory::kKeptJoins + 6;
+  for (std::size_t k = 0; k < joins; ++k) {
+    ASSERT_NE(factory.try_connect(0).transport, nullptr);  // closed at once
+  }
+  const JoinLatencyStats s = factory.join_stats();
+  EXPECT_EQ(s.count, joins);
+  EXPECT_GT(s.mean_us, 0.0);
+  EXPECT_GE(s.max_us, s.mean_us);
+  EXPECT_EQ(factory.join_latencies_us().size(), TcpTransportFactory::kKeptJoins);
 }
 
 TEST(TcpTransport, ExecutesRegisteredMusclesAndAnswersProtocolErrors) {
@@ -334,35 +353,6 @@ TEST(TcpBackend, NamedCallEndToEndThroughTheSessionMachine) {
   EXPECT_EQ(s.named_calls, 2u);
   EXPECT_EQ(s.named_errors, 1u);
   EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
-  EXPECT_EQ(s.losses_recovered, 0u);
-}
-
-TEST(SubprocessNamed, ForkChildAnswersUnsupportedWithoutDesyncing) {
-  // The fork child has no muscle table; it must consume the argument
-  // payload (stream stays in sync) and answer kUnsupported — after which
-  // the ordinary lease protocol still works on the same link.
-  SubprocessBackendConfig cfg;
-  cfg.max_workers = 1;
-  SubprocessBackend backend(cfg);
-  backend.bind([](int, bool) {});
-  ASSERT_NE(backend.provision(0, 1), WorkerBackend::Provision::kFailed);
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (backend.live_sessions() < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(backend.live_sessions(), 1);
-  const NamedCallResult res =
-      backend.call_named(0, 1, PodValue::of_bytes("payload to consume"));
-  ASSERT_TRUE(res.transported);
-  EXPECT_EQ(res.status, NamedStatus::kUnsupported);
-  // The link is intact: an ordinary lease still round-trips.
-  const std::uint64_t lease = backend.task_begin(0, 0);
-  ASSERT_NE(lease, 0u);
-  backend.task_end(0, lease);
-  const RemoteBackendStats s = backend.stats();
-  EXPECT_EQ(s.leases, 2u);
-  EXPECT_EQ(s.completes, 2u);
   EXPECT_EQ(s.losses_recovered, 0u);
 }
 

@@ -2,7 +2,7 @@
 // wire framing, seeded FakeTransport replay (golden trace), and every
 // injected failure mode — slow provision, failed provision, crash-on-Nth,
 // dropped / duplicated / reordered completions, partitions — driven against
-// the SAME RemoteWorkerBackend session machine the subprocess transport
+// the SAME RemoteWorkerBackend session machine the TCP transport
 // uses, under a ManualClock with manual pumping (no real threads, no sleeps:
 // every run replays bit-identically).
 //
